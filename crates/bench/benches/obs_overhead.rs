@@ -92,6 +92,8 @@ fn netsim_event_ns(flows: u64) -> f64 {
             events += 28; // 14 hops each way: fixed by the route, counted
                           // manually so both obs modes share one formula
                           // (events_processed reads 0 when obs is off).
+                          // Capture-off, the engine pops fewer events than
+                          // hops, so this is ns per route hop.
         }
         let ns = start.elapsed().as_nanos() as f64 / events.max(1) as f64;
         best_ns_per_event = best_ns_per_event.min(ns);

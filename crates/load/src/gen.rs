@@ -94,7 +94,7 @@ pub enum FlowOutcome {
 }
 
 /// Aggregate counters shared by every app in one soak run.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct LoadStats {
     pub flows_started: u64,
     pub flows_completed: u64,

@@ -203,7 +203,10 @@ impl Network {
             route_intern: Arc::default(),
             middleboxes: Vec::new(),
             hop_latency,
-            capture_enabled: true,
+            // Capture is opt-in: scans and soaks read verdicts from apps and
+            // inboxes, and capture-off lets the engine take `fast_path()`.
+            // Capture replayers (oracle, pcap export) call `set_capture(true)`.
+            capture_enabled: false,
             captures: Vec::new(),
             registry,
             tracer: Tracer::new(),
@@ -277,8 +280,14 @@ impl Network {
         &mut self.registry
     }
 
-    /// Enables or disables packet capture. Large scans disable it to bound
-    /// memory; inboxes still record deliveries.
+    /// Enables or disables packet capture. Off by default: a capture
+    /// record copies the packet at every trace point (4–5 per soak
+    /// packet), and capture on also disables the engine's fast path
+    /// (inline send, device-free hop collapse, batched dispatch), so a
+    /// captured soak pops ~5 events per packet against ~3. Flow outcomes
+    /// are the same either way. Consumers that replay captures (the
+    /// oracle, pcap export, differential tests) opt in; inboxes record
+    /// deliveries regardless. A [`NetworkImage`] fork inherits the flag.
     pub fn set_capture(&mut self, enabled: bool) {
         self.capture_enabled = enabled;
     }
@@ -1181,6 +1190,7 @@ mod tests {
     #[test]
     fn unroutable_packet_is_dropped() {
         let mut net = Network::with_default_latency();
+        net.set_capture(true);
         let a = net.add_host(A);
         net.send_from(a, packet(A, Ipv4Addr::new(8, 8, 8, 8), 64, b"x"));
         net.run_until_idle();
@@ -1498,6 +1508,7 @@ mod tests {
     #[test]
     fn unparseable_packet_records_nic_drop() {
         let mut net = Network::with_default_latency();
+        net.set_capture(true);
         let a = net.add_host(A);
         net.send_from(a, vec![0xff; 7]); // too short to be an IPv4 header
         net.run_until_idle();
@@ -1505,6 +1516,27 @@ mod tests {
             .captures()
             .iter()
             .any(|c| matches!(c.point, TracePoint::Dropped { step: 0 })));
+    }
+
+    #[test]
+    fn capture_is_opt_in_and_forks_inherit_it() {
+        let mut net = Network::with_default_latency();
+        let a = net.add_host(A);
+        let b = net.add_host(B);
+        net.set_route_symmetric(a, b, Route::through(&[R1, R2]));
+        net.send_from(a, packet(A, B, 64, b"off"));
+        net.run_until_idle();
+        assert_eq!(net.take_inbox(b).len(), 1);
+        assert!(net.captures().is_empty());
+        assert_eq!(net.obs_snapshot().counter("netsim.captures_recorded"), 0);
+
+        // Opting in before imaging carries over to every fork.
+        net.set_capture(true);
+        let mut fork = net.image().fork();
+        fork.send_from(a, packet(A, B, 64, b"on"));
+        fork.run_until_idle();
+        assert_eq!(fork.take_inbox(b).len(), 1);
+        assert!(fork.captures().iter().any(|c| c.is_rx_at(b)));
     }
 
     #[test]
@@ -1525,7 +1557,6 @@ mod tests {
     #[test]
     fn fork_footprint_is_soak_independent() {
         let mut net = Network::with_default_latency();
-        net.set_capture(false);
         let a = net.add_host(A);
         let b = net.add_host(B);
         net.set_route_symmetric(a, b, Route::through(&[R1]));
@@ -1594,6 +1625,7 @@ mod tests {
         // Two identical runs produce identical capture logs.
         let run = || {
             let mut net = Network::with_default_latency();
+            net.set_capture(true);
             let a = net.add_host(A);
             let b = net.add_host_with_app(B, Box::new(Echo { own: B }));
             net.set_route_symmetric(a, b, Route::through(&[R1, R2]));

@@ -74,6 +74,7 @@ proptest! {
     fn deterministic_replay(n in 0usize..8, sends in proptest::collection::vec(1u8..64, 1..20)) {
         let run = |sends: &[u8]| {
             let mut net = Network::new(Duration::from_millis(1));
+            net.set_capture(true);
             let a = net.add_host(A);
             let b = net.add_host(B);
             net.set_route_symmetric(a, b, Route::through(&hops(n)));

@@ -257,12 +257,6 @@ impl VantageLab {
         censor_profile: Option<CensorProfile>,
     ) -> VantageLab {
         let mut net = Network::with_default_latency();
-        // Scan labs default capture-off: the sweep drivers read verdicts
-        // from host inboxes, not packet captures, and capture-off lets the
-        // engine collapse device-free hop runs into a single event. The
-        // consumers that do replay captures (chaos oracle, pcap export,
-        // differential tests) opt back in with `set_capture(true)`.
-        net.set_capture(false);
 
         let us_main = net.add_host(US_MAIN);
         let us_second = net.add_host(US_SECOND);
