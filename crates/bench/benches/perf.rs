@@ -565,37 +565,8 @@ fn churn_convergence(_c: &mut Criterion) {
     );
 }
 
-/// Timer-wheel scheduling at population depth: steady-state push+pop with
-/// tens of thousands of pending events, the regime the wheel's O(1)
-/// buckets exist for (a binary heap pays O(log n) per op here).
-fn wheel_schedule(_c: &mut Criterion) {
-    use tspu_netsim::TimerWheel;
-
-    let depth: u64 = 50_000;
-    let mut wheel: TimerWheel<u64> = TimerWheel::new();
-    // Spread the standing population over a few milliseconds so both the
-    // near-future buckets and the overflow heap stay exercised.
-    for i in 0..depth {
-        wheel.push(Time::from_micros(1 + i % 8_192), i);
-    }
-    let iters: u64 = 2_000_000;
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        let (now, item) = wheel.pop().expect("standing population");
-        // Reschedule relative to the popped time: keeps depth constant
-        // and the timestamp stream monotone, like re-armed flow timers.
-        wheel.push(now + Duration::from_micros(1 + (item & 4_095)), item);
-        black_box(item);
-    }
-    criterion::report_custom(
-        "netsim/wheel_schedule_ns",
-        start.elapsed().as_nanos() as f64 / iters as f64,
-        iters,
-    );
-}
-
-/// The million-flow soak: population-scale load through one sharded-table
-/// device. Reports the headline sustained packets/sec, wall latency
+/// The million-flow soak: population-scale load through one provisioned
+/// flow table. Reports the headline sustained packets/sec, wall latency
 /// percentiles per scheduler event, and conntrack bytes per tracked flow.
 /// Under BENCH_QUICK the population shrinks (like the gc_churn ids) but
 /// the table stays provisioned for a million flows.
@@ -614,7 +585,6 @@ fn load_engine(_c: &mut Criterion) {
             ..LoadProfile::default()
         },
         flow_capacity: 1_048_576,
-        shards: Some(16),
         slice: Duration::from_millis(200),
     });
     let report = lab.run();
@@ -696,7 +666,6 @@ criterion_group!(
     policer,
     netsim_scale,
     netsim_event_rate,
-    wheel_schedule,
     sweep_scale,
     topo_scale,
     churn_convergence,

@@ -30,10 +30,9 @@ use tspu_wire::udp::UdpDatagram;
 
 use crate::behaviors::{BlockKind, BlockState};
 use crate::chaos::ModelViolation;
-use crate::conntrack::{FlowKey, Side};
+use crate::conntrack::{ConnTracker, FlowKey, Side};
 use crate::profile::{CensorProfile, SniMode};
 use crate::recorder::{FlightRecorder, LedgerKind};
-use crate::sharded::ShardedConnTracker;
 use crate::constants;
 use crate::frag_cache::{FragCache, FragConfig};
 use crate::hardening::{Hardening, REASSEMBLY_CAP};
@@ -225,6 +224,14 @@ impl DeviceMetrics {
     }
 }
 
+/// The device's flow table: pre-reserved for `capacity` flows when set (no
+/// rehash on the packet path), growing on demand otherwise. Every
+/// construction site goes through here, so a device instantiated from a
+/// [`DeviceConfig`] gets the same table as the device it was imaged from.
+fn flow_table(capacity: Option<usize>) -> ConnTracker {
+    capacity.map_or_else(ConnTracker::new, ConnTracker::with_capacity)
+}
+
 /// One TSPU box. Construct with a shared [`PolicyHandle`] (central
 /// control) and attach to routes via `tspu_netsim`.
 pub struct TspuDevice {
@@ -236,7 +243,7 @@ pub struct TspuDevice {
     /// The declarative censor spec this engine interprets: trigger set,
     /// action set, enforcement directions, residual windows, block page.
     profile: CensorProfile,
-    conntrack: ShardedConnTracker,
+    conntrack: ConnTracker,
     frag_cache: FragCache,
     rng: SmallRng,
     /// The construction seed, kept so [`TspuDevice::config`] can rebuild
@@ -247,9 +254,6 @@ pub struct TspuDevice {
     hardening: Hardening,
     /// Pre-provisioned flow-table capacity ([`TspuDevice::with_flow_capacity`]).
     flow_capacity: Option<usize>,
-    /// Explicit shard count ([`TspuDevice::with_flow_shards`]); `None`
-    /// auto-derives from capacity.
-    flow_shards: Option<usize>,
     faults: DeviceFaults,
     /// Restarts from `faults` already applied (they are sorted).
     restarts_applied: usize,
@@ -280,7 +284,7 @@ impl TspuDevice {
             label: Arc::from(label),
             policy,
             profile: CensorProfile::tspu(),
-            conntrack: ShardedConnTracker::new(),
+            conntrack: flow_table(None),
             frag_cache: FragCache::new(FragConfig::default()),
             rng: SmallRng::seed_from_u64(seed),
             seed,
@@ -288,7 +292,6 @@ impl TspuDevice {
             metrics: DeviceMetrics::new(label),
             hardening: Hardening::none(),
             flow_capacity: None,
-            flow_shards: None,
             faults: DeviceFaults::default(),
             restarts_applied: 0,
             reload_applied: false,
@@ -312,7 +315,6 @@ impl TspuDevice {
             seed: self.seed,
             hardening: self.hardening,
             flow_capacity: self.flow_capacity,
-            flow_shards: self.flow_shards,
             faults: self.faults.clone(),
             violation: self.violation,
             metrics: self.metrics.fork(),
@@ -448,18 +450,8 @@ impl TspuDevice {
     /// grows its table on the packet path, removing the one remaining
     /// O(table) latency event (hash-table growth rehashes).
     pub fn with_flow_capacity(mut self, flows: usize) -> TspuDevice {
-        self.conntrack = ShardedConnTracker::with_capacity(flows);
+        self.conntrack = flow_table(Some(flows));
         self.flow_capacity = Some(flows);
-        self
-    }
-
-    /// [`TspuDevice::with_flow_capacity`] with the shard count explicit
-    /// instead of auto-derived — benches pin it to isolate shard-count
-    /// effects from capacity effects.
-    pub fn with_flow_shards(mut self, flows: usize, shards: usize) -> TspuDevice {
-        self.conntrack = ShardedConnTracker::with_capacity_and_shards(flows, shards);
-        self.flow_capacity = Some(flows);
-        self.flow_shards = Some(shards);
         self
     }
 
@@ -535,7 +527,7 @@ impl TspuDevice {
     }
 
     /// Read access to the connection tracker (tests, experiments).
-    pub fn conntrack(&self) -> &ShardedConnTracker {
+    pub fn conntrack(&self) -> &ConnTracker {
         &self.conntrack
     }
 
@@ -1434,7 +1426,6 @@ pub struct DeviceConfig {
     seed: u64,
     hardening: Hardening,
     flow_capacity: Option<usize>,
-    flow_shards: Option<usize>,
     faults: DeviceFaults,
     violation: Option<ModelViolation>,
     metrics: DeviceMetrics,
@@ -1450,13 +1441,7 @@ impl DeviceConfig {
             label: self.label.clone(),
             policy: self.policy.clone(),
             profile: self.profile.clone(),
-            conntrack: match (self.flow_capacity, self.flow_shards) {
-                (Some(flows), Some(shards)) => {
-                    ShardedConnTracker::with_capacity_and_shards(flows, shards)
-                }
-                (Some(flows), None) => ShardedConnTracker::with_capacity(flows),
-                (None, _) => ShardedConnTracker::new(),
-            },
+            conntrack: flow_table(self.flow_capacity),
             frag_cache: FragCache::new(FragConfig::default()),
             rng: SmallRng::seed_from_u64(self.seed),
             seed: self.seed,
@@ -1464,7 +1449,6 @@ impl DeviceConfig {
             metrics: self.metrics.fork(),
             hardening: self.hardening,
             flow_capacity: self.flow_capacity,
-            flow_shards: self.flow_shards,
             faults: self.faults.clone(),
             restarts_applied: 0,
             reload_applied: false,
@@ -1477,5 +1461,53 @@ impl DeviceConfig {
 impl MiddleboxImage for DeviceConfig {
     fn instantiate(&self) -> Box<dyn Middlebox> {
         Box::new(DeviceConfig::instantiate(self))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::Ipv4Addr;
+    use std::time::Duration;
+
+    use tspu_wire::ipv4::Ipv4Repr;
+    use tspu_wire::tcp::TcpRepr;
+
+    use crate::policy::Policy;
+
+    fn syn(sport: u16) -> Vec<u8> {
+        let (src, dst) = (Ipv4Addr::new(10, 8, 0, 2), Ipv4Addr::new(198, 51, 100, 10));
+        let seg = TcpRepr::new(sport, 443, TcpFlags::SYN).build(src, dst);
+        Ipv4Repr::new(src, dst, Protocol::Tcp, seg.len()).build(&seg)
+    }
+
+    #[test]
+    fn image_instantiate_provisions_the_same_flow_table() {
+        // The soak forks its device from a lab image while the traced
+        // benchmark builds it directly; both must get the same table.
+        const FLOWS: usize = 2048;
+        let mut built = TspuDevice::reliable("tspu-test", PolicyHandle::new(Policy::example()))
+            .with_flow_capacity(FLOWS);
+        let mut forked = built.image().expect("device images").instantiate();
+        let table = |mb: &dyn Middlebox| {
+            let dev: &TspuDevice = mb.as_any().downcast_ref().expect("a TspuDevice");
+            let ct = dev.conntrack();
+            (ct.table_capacity(), ct.gc_probes())
+        };
+        assert!(built.conntrack().table_capacity() >= FLOWS);
+        assert_eq!(table(&built), table(&*forked));
+
+        // Three generations of the population, each past the last one's
+        // SYN timeout, so the CLOCK sweep both probes and evicts.
+        for round in 0..3u64 {
+            let now = Time::ZERO + Duration::from_secs(round * 600);
+            for sport in 0..FLOWS as u16 {
+                for dev in [&mut built as &mut dyn Middlebox, &mut *forked] {
+                    dev.process_owned(now, Direction::LocalToRemote, syn(1024 + sport));
+                }
+            }
+        }
+        assert!(built.conntrack().gc_probes() > 0);
+        assert_eq!(table(&built), table(&*forked));
     }
 }

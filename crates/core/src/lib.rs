@@ -39,7 +39,6 @@ pub mod policer;
 pub mod policy;
 pub mod profile;
 pub mod recorder;
-pub mod sharded;
 pub mod updater;
 
 pub use behaviors::{BlockKind, BlockState, EnforceDirections};
@@ -52,5 +51,4 @@ pub use hardening::Hardening;
 pub use policer::TokenBucket;
 pub use policy::{DomainSet, NormalizedHost, Policy, PolicyDelta, PolicyHandle, ThrottleConfig};
 pub use recorder::{FlightRecorder, LedgerEvent, LedgerKind, DEFAULT_LEDGER_CAP};
-pub use sharded::ShardedConnTracker;
 pub use updater::{DeltaApplication, PolicyUpdater, UpdateLog};

@@ -13,7 +13,7 @@
 //! - [`soak`] — the driver that builds the topology once, forks it per
 //!   run, drives the population through a [`TspuDevice`], and reports
 //!   sustained packets/sec, wall latency percentiles per scheduler event,
-//!   bytes per tracked flow, and per-shard conntrack occupancy.
+//!   and bytes per tracked flow.
 //!
 //! Everything virtual-time derived is a pure function of the profile seed:
 //! two runs of the same lab produce byte-identical

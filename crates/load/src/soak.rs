@@ -29,8 +29,6 @@ pub struct SoakConfig {
     pub profile: LoadProfile,
     /// Device flow-table provisioning ([`TspuDevice`] `with_flow_capacity`).
     pub flow_capacity: usize,
-    /// Explicit conntrack shard count; `None` auto-sizes from capacity.
-    pub shards: Option<usize>,
     /// Virtual-time slice per wall-latency sample.
     pub slice: Duration,
 }
@@ -40,7 +38,6 @@ impl Default for SoakConfig {
         SoakConfig {
             profile: LoadProfile::default(),
             flow_capacity: 65_536,
-            shards: None,
             slice: Duration::from_millis(200),
         }
     }
@@ -82,10 +79,8 @@ pub struct SoakSlice {
     pub got_data: u64,
     /// Flows tracked at the device at slice end.
     pub tracked_flows: usize,
-    /// Events still scheduled (wheel + overflow) at slice end.
-    pub wheel_depth: usize,
-    /// Largest per-shard conntrack occupancy at slice end.
-    pub max_shard_len: usize,
+    /// Events still scheduled at slice end.
+    pub pending_events: usize,
     /// Wall nanoseconds the slice took (host-dependent).
     pub wall_ns: u64,
 }
@@ -102,12 +97,8 @@ pub struct SoakReport {
     pub events: u64,
     /// Peak simultaneously tracked flows at the device.
     pub peak_tracked_flows: usize,
-    /// Final per-shard occupancy.
-    pub shard_lens: Vec<usize>,
-    /// Total GC ring probes across shards.
+    /// Total GC ring probes.
     pub gc_probes: u64,
-    /// Largest per-shard GC probe count.
-    pub max_shard_gc_probes: u64,
     /// Device-visible packets (each endpoint transmission crosses the
     /// device once) — the denominator for the GC budget check.
     pub device_packets: u64,
@@ -128,8 +119,7 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
-    /// True when GC work stayed within the advertised per-packet bound on
-    /// every shard.
+    /// True when GC work stayed within the advertised per-packet bound.
     pub fn gc_within_budget(&self) -> bool {
         self.gc_probes <= GC_PROBE_BUDGET as u64 * self.device_packets.max(1)
     }
@@ -139,15 +129,13 @@ impl SoakReport {
     /// thread count, or machine.
     pub fn deterministic_json(&self) -> String {
         let s = &self.stats;
-        let shard_lens: Vec<String> = self.shard_lens.iter().map(usize::to_string).collect();
         format!(
             concat!(
                 "{{\"flows_started\":{},\"flows_completed\":{},\"got_data\":{},",
                 "\"resets\":{},\"oracle_mismatches\":{},\"open_loop_flows\":{},",
                 "\"closed_loop_flows\":{},\"client_tx\":{},\"client_rx\":{},",
                 "\"server_tx\":{},\"server_rx\":{},\"events\":{},",
-                "\"peak_tracked_flows\":{},\"gc_probes\":{},\"device_packets\":{},",
-                "\"shard_lens\":[{}]}}"
+                "\"peak_tracked_flows\":{},\"gc_probes\":{},\"device_packets\":{}}}"
             ),
             s.flows_started,
             s.flows_completed,
@@ -164,7 +152,6 @@ impl SoakReport {
             self.peak_tracked_flows,
             self.gc_probes,
             self.device_packets,
-            shard_lens.join(",")
         )
     }
 
@@ -183,8 +170,7 @@ impl SoakReport {
                 concat!(
                     "{{\"at_us\":{},\"events\":{},\"packets\":{},",
                     "\"flows_started\":{},\"flows_completed\":{},\"resets\":{},",
-                    "\"got_data\":{},\"tracked_flows\":{},\"wheel_depth\":{},",
-                    "\"max_shard_len\":{}}}"
+                    "\"got_data\":{},\"tracked_flows\":{},\"pending_events\":{}}}"
                 ),
                 s.at_us,
                 s.events,
@@ -194,8 +180,7 @@ impl SoakReport {
                 s.resets,
                 s.got_data,
                 s.tracked_flows,
-                s.wheel_depth,
-                s.max_shard_len,
+                s.pending_events,
             ));
         }
         out.push_str("]}");
@@ -223,8 +208,7 @@ impl SoakReport {
             snap.insert("load.slice.resets", MetricValue::Counter(s.resets));
             snap.insert("load.slice.got_data", MetricValue::Counter(s.got_data));
             snap.insert("load.slice.tracked_flows", MetricValue::Gauge(s.tracked_flows as i64));
-            snap.insert("load.slice.wheel_depth", MetricValue::Gauge(s.wheel_depth as i64));
-            snap.insert("load.slice.max_shard_len", MetricValue::Gauge(s.max_shard_len as i64));
+            snap.insert("load.slice.pending_events", MetricValue::Gauge(s.pending_events as i64));
             series.observe(at, &snap);
         }
         series
@@ -255,9 +239,6 @@ impl SoakReport {
             ("load.bytes_per_flow", self.bytes_per_flow as u64),
         ] {
             snap.insert(name, MetricValue::Counter(v));
-        }
-        for (i, &len) in self.shard_lens.iter().enumerate() {
-            snap.insert(format!("load.shard_occupancy.{i:02}"), MetricValue::Counter(len as u64));
         }
         snap.insert("load.event_wall_ns", MetricValue::Hist(self.latency_hist.clone()));
         snap
@@ -298,11 +279,7 @@ pub fn build_lab(config: SoakConfig) -> SoakLab {
         blocked.iter().filter(|&&b| b).count() as f64 / blocked.len().max(1) as f64;
     let handle = PolicyHandle::new(policy);
 
-    let mut device = TspuDevice::reliable("tspu-load", handle);
-    device = match config.shards {
-        Some(shards) => device.with_flow_shards(config.flow_capacity, shards),
-        None => device.with_flow_capacity(config.flow_capacity),
-    };
+    let device = TspuDevice::reliable("tspu-load", handle).with_flow_capacity(config.flow_capacity);
 
     let mut net = Network::with_default_latency();
     let device = net.install_middlebox(device);
@@ -431,9 +408,7 @@ impl SoakLab {
             // copies the simulator also keeps would pin every payload of
             // the soak in memory. Drop them each slice.
             self.drain_inboxes(&mut net);
-            let conntrack = net.middlebox(self.device).conntrack();
-            let tracked = conntrack.len();
-            let max_shard_len = conntrack.shard_lens().into_iter().max().unwrap_or(0);
+            let tracked = net.middlebox(self.device).conntrack().len();
             peak_tracked = peak_tracked.max(tracked);
             let (started_c, completed, resets, got_data, packets) = {
                 let s = stats.lock().expect("stats lock");
@@ -454,8 +429,7 @@ impl SoakLab {
                 resets: resets - prev_resets,
                 got_data: got_data - prev_got_data,
                 tracked_flows: tracked,
-                wheel_depth: net.pending_events(),
-                max_shard_len,
+                pending_events: net.pending_events(),
                 wall_ns: slice_wall_ns,
             });
             (prev_started, prev_completed) = (started_c, completed);
@@ -493,9 +467,7 @@ impl SoakLab {
         SoakReport {
             events: net.events_popped(),
             peak_tracked_flows: peak_tracked,
-            shard_lens: conntrack.shard_lens(),
             gc_probes: conntrack.gc_probes(),
-            max_shard_gc_probes: conntrack.max_shard_gc_probes(),
             device_packets,
             bytes_per_flow: conntrack.memory_bytes_estimate() as f64
                 / peak_tracked.max(1) as f64,
@@ -525,7 +497,6 @@ mod tests {
                 ..LoadProfile::default()
             },
             flow_capacity: 4_096,
-            shards: Some(4),
             slice: Duration::from_millis(100),
         }
     }
@@ -542,7 +513,6 @@ mod tests {
         assert!(report.stats.resets > 0, "no blocked domains sampled");
         assert!(report.stats.got_data > report.stats.resets);
         assert!(report.gc_within_budget());
-        assert_eq!(report.shard_lens.len(), 4);
     }
 
     #[test]

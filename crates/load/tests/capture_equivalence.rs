@@ -19,7 +19,6 @@ fn capture_on_and_off_soaks_reach_identical_outcomes() {
             ..LoadProfile::default()
         },
         flow_capacity: 4_096,
-        shards: None,
         slice: Duration::from_millis(100),
     });
 

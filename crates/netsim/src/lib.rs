@@ -41,7 +41,6 @@ pub mod fault;
 pub mod nat;
 pub mod oracle;
 pub mod pcap;
-pub mod wheel;
 
 pub use app::{Application, Output};
 pub use fault::{ChaosLink, DeviceFaults, FaultPlan, FlapSpec, LinkFaults, LinkStats};
@@ -50,4 +49,3 @@ pub use capture::{CaptureRecord, TracePoint};
 pub use middlebox::{AsAny, Direction, Middlebox, MiddleboxId, MiddleboxImage, Verdict};
 pub use network::{HostId, MiddleboxHandle, Network, NetworkImage, Route, RouteId, RouteStep};
 pub use time::Time;
-pub use wheel::TimerWheel;

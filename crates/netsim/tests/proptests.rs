@@ -102,44 +102,3 @@ proptest! {
         prop_assert_eq!(net.take_inbox(b).len(), usize::from(advance_ms >= 1));
     }
 }
-
-proptest! {
-    /// The timer wheel pops arbitrary interleaved schedules in exactly the
-    /// order the old `BinaryHeap<Reverse<(time, seq)>>` scheduler did —
-    /// including schedules that straddle the engagement threshold, collide
-    /// on timestamps, and mix near hops with far timers.
-    #[test]
-    fn wheel_order_matches_binary_heap(
-        ops in proptest::collection::vec((0u8..4, 0u64..6_000_000), 1..2_000),
-    ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        use tspu_netsim::TimerWheel;
-
-        let mut wheel = TimerWheel::new();
-        let mut heap: BinaryHeap<Reverse<(Time, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        for (i, &(op, offset)) in ops.iter().enumerate() {
-            if op == 0 && !heap.is_empty() {
-                let a = wheel.pop();
-                let Reverse((t, _, item)) = heap.pop().unwrap();
-                prop_assert_eq!(a, Some((t, item)));
-                now = t.as_micros();
-            } else {
-                // Mostly near-future pushes (within the ~4 ms window), with
-                // the raw offset kept 1-in-8 so far timers hit the overflow
-                // heap too.
-                let ahead = if offset % 8 == 0 { offset } else { offset % 5_000 };
-                let t = Time::from_micros(now + ahead);
-                wheel.push(t, i as u32);
-                heap.push(Reverse((t, seq, i as u32)));
-                seq += 1;
-            }
-        }
-        while let Some(Reverse((t, _, item))) = heap.pop() {
-            prop_assert_eq!(wheel.pop(), Some((t, item)));
-        }
-        prop_assert!(wheel.pop().is_none());
-    }
-}

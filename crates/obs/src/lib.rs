@@ -5,7 +5,7 @@
 //!
 //! * [`Registry`]: typed counters, gauges, and log-linear [`Histogram`]s
 //!   under hierarchical dot-path names (`device.<id>.verdicts.rst_rewrite`,
-//!   `netsim.queue_depth`). Registration interns the name once; recording
+//!   `netsim.pending_peak`). Registration interns the name once; recording
 //!   is an indexed integer op — no hashing, no allocation.
 //! * [`Tracer`]: virtual-time span recording into a bounded ring buffer,
 //!   exported in Chrome trace-event format

@@ -1,11 +1,10 @@
 //! Million-flow soak: a full ISP subscriber population — Zipf domain
 //! popularity over a 100k-domain universe, diurnal arrival curve,
 //! open/closed-loop client mix — driven through one TSPU device with a
-//! sharded million-entry flow table.
+//! flow table provisioned for a million entries.
 //!
 //! Prints the load report and writes `load_report.json` (load counters +
-//! per-shard occupancy + the steady-state latency histogram, merged as an
-//! obs snapshot).
+//! the steady-state latency histogram, merged as an obs snapshot).
 //!
 //! ```sh
 //! cargo run --release --example load_soak            # 1M flows
@@ -32,11 +31,10 @@ fn main() {
             ..LoadProfile::default()
         },
         flow_capacity: 1_048_576,
-        shards: Some(16),
         slice: Duration::from_millis(200),
     };
 
-    println!("building lab: {flows} flows, 64 clients, 100k domains, 16-shard conntrack…");
+    println!("building lab: {flows} flows, 64 clients, 100k domains, 1M-flow conntrack…");
     let lab = build_lab(config);
     println!(
         "universe blocked fraction: {:.1}% — driving population…",
@@ -63,11 +61,6 @@ fn main() {
         "conntrack    peak {} tracked flows, {:.0} bytes/flow, {} gc probes",
         report.peak_tracked_flows, report.bytes_per_flow, report.gc_probes
     );
-    print!("shards       occupancy");
-    for len in &report.shard_lens {
-        print!(" {len}");
-    }
-    println!();
     println!(
         "gc bound     {} (≤ {} probes per device packet)",
         if report.gc_within_budget() { "OK" } else { "EXCEEDED" },

@@ -17,8 +17,7 @@
 # sweep/forked_vs_fresh_ratio with a floor assertion. PR 7 adds the
 # million-flow load engine (load/sustained_pps_1m_flows — value is
 # packets/sec, higher is better — load/p{50,99,999}_hop_ns_1m_flows,
-# load/bytes_per_flow) plus netsim/wheel_schedule_ns, asserts the pps
-# floor, and derives load/p999_vs_p50_ratio with a <= 10x ceiling
+# load/bytes_per_flow), asserts the pps floor, and derives load/p999_vs_p50_ratio with a <= 10x ceiling
 # (steady-state tail must stay near the median). PR 8 prices the
 # three-country differential campaign per (profile x domain) cell
 # (profiles/differential_3country_us_per_cell, plus the _audited_
