@@ -152,19 +152,9 @@ impl ChaosSweep {
         }
         let stats = run_cell(&mut lab, scenario.vantage, scenario.mechanism, self.trials);
         let oracle_violations = if self.check_oracle {
-            let spec = lab.oracle_spec();
-            let captures = lab.net.take_captures();
-            let mut report = Oracle::new(spec).check(&captures);
-            // Name the counters that moved on the offending device: the
-            // lab is fresh per cell, so its totals ARE the cell's deltas.
-            let device_snapshots = lab.device_snapshots();
-            report.attach_device_counters(|id| {
-                device_snapshots
-                    .iter()
-                    .find(|(device, _)| *device == id)
-                    .map(|(_, snapshot)| snapshot.moved_counters())
-            });
-            report.violations.iter().map(|v| v.to_string()).collect()
+            // A per-cell spec: the cell's fault plan sets the devices'
+            // restart schedules the oracle replays.
+            lab.audit(&Oracle::new(lab.oracle_spec()))
         } else {
             Vec::new()
         };

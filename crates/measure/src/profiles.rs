@@ -214,12 +214,18 @@ impl DifferentialCampaign {
                     .image()
             })
             .collect();
+        // One oracle per profile image, shared by reference across the
+        // pool: the audit spec is the same for every fork of an image.
+        let oracles: Vec<Option<Oracle>> = images
+            .iter()
+            .map(|image| self.check_oracle.then(|| Oracle::new(image.oracle_spec())))
+            .collect();
         let cells: Vec<(usize, usize)> = (0..self.profiles.len())
             .flat_map(|pi| (0..self.domains.len()).map(move |di| (pi, di)))
             .collect();
         let observe = opts.observe;
         let run = pool.run(&cells, opts, || (), |(), index, &(pi, di)| {
-            self.run_one(&images[pi], index, pi, di, observe)
+            self.run_one(&images[pi], oracles[pi].as_ref(), index, pi, di, observe)
         });
         let mut matrix_cells = Vec::with_capacity(run.results.len());
         let mut snapshot = observe.then(Snapshot::new);
@@ -273,11 +279,12 @@ impl DifferentialCampaign {
         (matrix, run.report)
     }
 
-    /// Runs one cell: forked per-profile lab, three volleys, optional
-    /// oracle audit.
+    /// Runs one cell: forked per-profile lab, three volleys, and — given
+    /// the profile's oracle — the audit of the cell's capture.
     fn run_one(
         &self,
         image: &LabImage,
+        oracle: Option<&Oracle>,
         index: usize,
         pi: usize,
         di: usize,
@@ -286,9 +293,7 @@ impl DifferentialCampaign {
         let profile = &self.profiles[pi];
         let domain = &self.domains[di];
         let mut lab = image.fork(index);
-        if self.check_oracle {
-            lab.net.set_capture(true);
-        }
+        lab.net.set_capture(oracle.is_some());
         let port = scenario_port(index);
         let page_len = profile.block_page_bytes().map(<[u8]>::len);
 
@@ -296,22 +301,7 @@ impl DifferentialCampaign {
         let http = probe_http(&mut lab, port, domain, page_len);
         let dns = probe_dns(&mut lab, port, domain);
 
-        let oracle_violations = if self.check_oracle {
-            let spec = lab.oracle_spec();
-            let captures = lab.net.take_captures();
-            let mut report = Oracle::new(spec).check(&captures);
-            let device_snapshots = lab.device_snapshots();
-            report.attach_device_counters(|id| {
-                device_snapshots
-                    .iter()
-                    .find(|(device, _)| *device == id)
-                    .map(|(_, snapshot)| snapshot.moved_counters())
-            });
-            report.attach_device_ledger(|id, packet| lab.device_ledger(id, packet, 8));
-            report.violations.iter().map(|v| v.to_string()).collect()
-        } else {
-            Vec::new()
-        };
+        let oracle_violations = oracle.map_or_else(Vec::new, |oracle| lab.audit(oracle));
         let snapshot = observe.then(|| lab.obs_snapshot().with_scenario(index as u32));
         let cell = ProfileCell {
             profile: profile.name,

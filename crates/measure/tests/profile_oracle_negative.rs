@@ -44,6 +44,21 @@ fn ends(lab: &VantageLab, port: u16, remote_port: u16) -> (ScriptEnd, ScriptEnd)
     )
 }
 
+/// A legitimate Host-trigger arm with an in-window block page, then a
+/// second origin response 90 s later — after the 60 s window lapsed, where
+/// a seeded `BlockPageWithoutTrigger` device injects the page again.
+fn out_of_window_steps() -> Vec<ScriptStep> {
+    let mut steps = handshake_prefix();
+    steps.push(ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK).payload(HttpRequest::get(BLOCKED, "/").build()));
+    steps.push(ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK).payload(HttpResponse::ok(b"origin-content-ok").build()));
+    steps.push(
+        ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK)
+            .payload(HttpResponse::ok(b"origin-content-ok").build())
+            .after(Duration::from_secs(90)),
+    );
+    steps
+}
+
 fn check(lab: &mut VantageLab) -> OracleReport {
     let spec = lab.oracle_spec();
     let captures = lab.net.take_captures();
@@ -115,19 +130,11 @@ fn block_page_without_trigger_under_india_is_flagged() {
 fn block_page_outside_armed_window_under_india_is_flagged() {
     let mut lab = seeded_lab(CensorProfile::india(), ModelViolation::BlockPageWithoutTrigger);
     let (local, remote) = ends(&lab, 47520, 80);
-    let mut steps = handshake_prefix();
-    // Legitimate arm + in-window injection first.
-    steps.push(ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK).payload(HttpRequest::get(BLOCKED, "/").build()));
-    steps.push(ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK).payload(HttpResponse::ok(b"origin-content-ok").build()));
-    // 90 s later the 60 s window has lapsed; the device's verdict has
-    // expired, so the seeded violation branch injects the page again —
-    // now outside the window the trigger armed.
-    steps.push(
-        ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK)
-            .payload(HttpResponse::ok(b"origin-content-ok").build())
-            .after(Duration::from_secs(90)),
-    );
-    run_script(&mut lab.net, local, remote, &steps);
+    // Legitimate arm + in-window injection first. 90 s later the 60 s
+    // window has lapsed; the device's verdict has expired, so the seeded
+    // violation branch injects the page again — now outside the window
+    // the trigger armed.
+    run_script(&mut lab.net, local, remote, &out_of_window_steps());
 
     let report = check(&mut lab);
     assert!(!report.is_clean(), "oracle missed the out-of-window page");
@@ -150,15 +157,7 @@ fn violation_report_carries_the_arming_ledger_event() {
     // wrong" to "what the device thought it was enforcing".
     let mut lab = seeded_lab(CensorProfile::india(), ModelViolation::BlockPageWithoutTrigger);
     let (local, remote) = ends(&lab, 47530, 80);
-    let mut steps = handshake_prefix();
-    steps.push(ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK).payload(HttpRequest::get(BLOCKED, "/").build()));
-    steps.push(ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK).payload(HttpResponse::ok(b"origin-content-ok").build()));
-    steps.push(
-        ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK)
-            .payload(HttpResponse::ok(b"origin-content-ok").build())
-            .after(Duration::from_secs(90)),
-    );
-    run_script(&mut lab.net, local, remote, &steps);
+    run_script(&mut lab.net, local, remote, &out_of_window_steps());
 
     let spec = lab.oracle_spec();
     let captures = lab.net.take_captures();
@@ -189,4 +188,34 @@ fn violation_report_carries_the_arming_ledger_event() {
     } else {
         assert!(v.ledger.is_empty(), "obs-disabled builds attach no ledger");
     }
+}
+
+#[test]
+fn lab_audit_enriches_only_violating_reports() {
+    // The campaigns' one audit call: on the seeded out-of-window India
+    // lab it drains the capture and renders each violation with the
+    // device's moved counters and its enforcement ledger.
+    let mut lab = seeded_lab(CensorProfile::india(), ModelViolation::BlockPageWithoutTrigger);
+    let (local, remote) = ends(&lab, 47540, 80);
+    run_script(&mut lab.net, local, remote, &out_of_window_steps());
+    let rendered = lab.audit(&Oracle::new(lab.oracle_spec()));
+    assert!(!rendered.is_empty(), "audit missed the out-of-window page");
+    assert!(lab.net.captures().is_empty(), "audit drains the capture log");
+    assert!(rendered.iter().any(|v| v.contains("india")), "{rendered:?}");
+    if tspu_obs::ENABLED {
+        assert!(rendered.iter().any(|v| v.contains("counters moved:")), "{rendered:?}");
+        assert!(rendered.iter().any(|v| v.contains("enforcement ledger")), "{rendered:?}");
+    }
+
+    // A clean fork of an unseeded India image, audited against the one
+    // oracle built from the image's spec, returns nothing.
+    let universe = Universe::generate(3);
+    let image = VantageLab::builder().universe(&universe).censor_profile(CensorProfile::india()).image();
+    let oracle = Oracle::new(image.oracle_spec());
+    let mut clean = image.fork(0);
+    clean.net.set_capture(true);
+    let (local, remote) = ends(&clean, 47540, 80);
+    run_script(&mut clean.net, local, remote, &out_of_window_steps());
+    assert!(!clean.net.captures().is_empty());
+    assert_eq!(clean.audit(&oracle), Vec::<String>::new());
 }

@@ -227,8 +227,9 @@ impl Network {
             middleboxes: Vec::new(),
             hop_latency,
             // Capture is opt-in: scans and soaks read verdicts from apps and
-            // inboxes, and capture-off lets the engine take `fast_path()`.
-            // Capture replayers (oracle, pcap export) call `set_capture(true)`.
+            // inboxes and skip the per-trace-point packet copies. Capture
+            // replayers (oracle, pcap export) call `set_capture(true)`; the
+            // engine takes the same `fast_path()` either way.
             capture_enabled: false,
             captures: Vec::new(),
             registry,
@@ -302,12 +303,12 @@ impl Network {
 
     /// Enables or disables packet capture. Off by default: a capture
     /// record copies the packet at every trace point (4–5 per soak
-    /// packet), and capture on also disables the engine's fast path
-    /// (inline send, device-free hop collapse), so a captured soak pops
-    /// ~5 events per packet against ~3. Flow outcomes are the same either
-    /// way. Consumers that replay captures (the oracle, pcap export,
-    /// differential tests) opt in; inboxes record deliveries regardless.
-    /// A [`NetworkImage`] fork inherits the flag.
+    /// packet). Capture is a pure observer — it schedules no events of its
+    /// own and leaves the engine on its fast path (inline send, device-free
+    /// hop collapse), so inboxes, flow outcomes and the event count are
+    /// the same either way. Consumers that replay captures (the oracle,
+    /// pcap export, differential tests) opt in; inboxes record deliveries
+    /// regardless. A [`NetworkImage`] fork inherits the flag.
     pub fn set_capture(&mut self, enabled: bool) {
         self.capture_enabled = enabled;
     }
@@ -467,8 +468,8 @@ impl Network {
         // send event would be dispatched next anyway, so run it inline and
         // skip the heap round-trip. Any queued event at `now` (an earlier
         // same-instant send) must keep its seq-order priority, so the
-        // slow path stays for that case — and for capture/tracing runs,
-        // where the event itself is observable.
+        // slow path stays for that case — and for tracing runs, where the
+        // event itself is observable.
         let head_later = match self.peek_time() {
             None => true,
             Some(head_time) => head_time > self.now,
@@ -790,20 +791,27 @@ impl Network {
     }
 
     /// Whether the engine may collapse device-free hop runs into a single
-    /// scheduled event. Captures and span tracing both observe individual
-    /// hops (`Dropped { step }` records on TTL death, per-event `hop`
-    /// spans), so the collapse only engages when neither is watching.
+    /// scheduled event. Span tracing records one `hop` span per hop event,
+    /// so the collapse only engages when it is off. Capture does not
+    /// select the path: the only record a device-free hop produces is the
+    /// `Dropped { step }` of a packet dying there, and the walk hands that
+    /// hop back to [`Network::do_hop`] as one event, so both paths write
+    /// the same records at the same instants.
     fn fast_path(&self) -> bool {
-        !self.capture_enabled && !self.tracer.is_enabled()
+        !self.tracer.is_enabled()
     }
 
     /// Fast-path scheduler: the packet arrives at route step `step` at
     /// `time`. Walks the run of device-free steps from there — each one is
     /// pure bookkeeping, a TTL decrement at a known instant — and pushes
-    /// the single event that ends the run: the first device-bearing hop, a
-    /// TTL death, or final delivery. Arrival times, TTL deaths, and device
-    /// processing instants are identical to the per-event path; only the
-    /// internal event count shrinks, which is why callers must check
+    /// the single event that ends the run: the first device-bearing hop,
+    /// the hop where the packet dies, or final delivery. A dying packet
+    /// gets one `Hop` event at its death step, carrying the TTL the
+    /// per-event path would have there, so [`Network::do_hop`] records the
+    /// drop and answers with time-exceeded exactly as that path does.
+    /// Arrival times, TTL deaths, capture records and device processing
+    /// instants are identical to the per-event path; only the internal
+    /// event count shrinks, which is why callers must check
     /// [`Network::fast_path`] first.
     fn schedule_walk(
         &mut self,
@@ -822,22 +830,28 @@ impl Network {
         }
         let skipped = next - step;
         if skipped > 0 {
-            if let Ok(mut view) = Ipv4Packet::new_checked(&mut packet[..]) {
-                let ttl = usize::from(view.ttl());
-                if ttl <= skipped {
-                    // Dies mid-walk, exactly where the per-event path
-                    // would kill it: at the hop reached with TTL 1.
-                    let die_step = step + ttl - 1;
-                    let die_time = time + self.hop_latency * (ttl as u32 - 1);
-                    let hop_addr = route.steps[die_step].hop_addr;
-                    let orig_src = view.src_addr();
-                    self.emit_time_exceeded_at(die_time, hop_addr, orig_src, die_step);
-                    return;
+            let Ok(mut view) = Ipv4Packet::new_checked(&mut packet[..]) else {
+                // Unparseable: the first router drops it.
+                self.push_event(time, EventKind::Hop { src, dst, step, packet });
+                return;
+            };
+            let ttl = usize::from(view.ttl());
+            if ttl <= skipped {
+                // Dies mid-walk, exactly where the per-event path kills
+                // it: at the hop reached with TTL 1 — the first router
+                // for TTL 0, which no router decrements.
+                let hops = ttl.saturating_sub(1);
+                if hops > 0 {
+                    view.set_ttl(1);
+                    view.fill_checksum();
                 }
-                view.set_ttl((ttl - skipped) as u8);
-                view.fill_checksum();
-                time += self.hop_latency * skipped as u32;
+                let die_time = time + self.hop_latency * hops as u32;
+                self.push_event(die_time, EventKind::Hop { src, dst, step: step + hops, packet });
+                return;
             }
+            view.set_ttl((ttl - skipped) as u8);
+            view.fill_checksum();
+            time += self.hop_latency * skipped as u32;
         }
         if next >= total {
             self.push_event(time, EventKind::Deliver { dst, packet });
@@ -852,19 +866,6 @@ impl Network {
     /// error is irrelevant to every experiment modeled here, and routers
     /// are not hosts.
     fn emit_time_exceeded(&mut self, hop_addr: Ipv4Addr, orig_src: Ipv4Addr, steps_back: usize) {
-        self.emit_time_exceeded_at(self.now, hop_addr, orig_src, steps_back);
-    }
-
-    /// [`Network::emit_time_exceeded`] from an explicit TTL-death instant
-    /// — the fast-forwarded hop walk kills packets at virtual times ahead
-    /// of the event being dispatched.
-    fn emit_time_exceeded_at(
-        &mut self,
-        at: Time,
-        hop_addr: Ipv4Addr,
-        orig_src: Ipv4Addr,
-        steps_back: usize,
-    ) {
         let Some(&src_host) = self.addr_map.get(&orig_src) else {
             return;
         };
@@ -872,7 +873,7 @@ impl Network {
         let repr = Ipv4Repr::new(hop_addr, orig_src, Protocol::Icmp, icmp.len());
         let packet = repr.build(&icmp);
         let delay = Duration::from_micros(self.hop_latency.as_micros() as u64 * (steps_back as u64 + 1));
-        let time = at + delay;
+        let time = self.now + delay;
         self.push_event(time, EventKind::Deliver { dst: src_host, packet });
     }
 
@@ -1466,14 +1467,14 @@ mod tests {
 
     #[test]
     fn fast_path_matches_per_event_path() {
-        // A same-instant burst through a device-bearing route: with capture
-        // on the engine walks one event per hop; with capture off it folds
-        // the device-free hop into the send. Delivery times and payloads
-        // must be identical, and the device must see the packets in send
-        // order.
+        // A same-instant burst through a device-bearing route: with span
+        // tracing on the engine walks one event per hop; with it off it
+        // folds the device-free hop into the send. Delivery times and
+        // payloads must be identical, and the device must see the packets
+        // in send order.
         let run = |fast: bool| {
             let mut net = Network::with_default_latency();
-            net.set_capture(!fast);
+            net.set_tracing(!fast);
             let a = net.add_host(A);
             let b = net.add_host(B);
             let counter = net.install_middlebox(CountAll::default());
@@ -1497,6 +1498,38 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn ttl_zero_dies_at_the_first_router_on_both_paths() {
+        // TTL 0 on a route whose first step carries no device: the walk
+        // must not place the death before the first router. Both paths
+        // kill the packet at R1, record the drop with its TTL untouched,
+        // and answer from R1.
+        let run = |per_event: bool| {
+            let mut net = Network::with_default_latency();
+            net.set_capture(true);
+            net.set_tracing(per_event);
+            let a = net.add_host(A);
+            let b = net.add_host(B);
+            net.set_route_symmetric(a, b, Route::through(&[R1, R2]));
+            net.send_from(a, packet(A, B, 0, b"ttl0"));
+            net.run_until_idle();
+            assert!(net.take_inbox(b).is_empty());
+            let returned = net.take_inbox(a);
+            assert_eq!(returned.len(), 1);
+            let view = Ipv4Packet::new_checked(&returned[0].1[..]).unwrap();
+            assert_eq!(view.src_addr(), R1);
+            assert_eq!(view.protocol(), Protocol::Icmp);
+            let drop = net
+                .captures()
+                .iter()
+                .find(|c| c.point == TracePoint::Dropped { step: 0 })
+                .expect("TTL-0 drop recorded at the first router");
+            assert_eq!(Ipv4Packet::new_checked(&drop.bytes[..]).unwrap().ttl(), 0);
+            (returned[0].0, drop.time)
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -23,9 +23,11 @@ fn hops(n: usize) -> Vec<Ipv4Addr> {
 
 proptest! {
     /// A packet with TTL t crosses an n-router path iff t > n; otherwise
-    /// exactly one ICMP time-exceeded returns, from router t.
+    /// exactly one ICMP time-exceeded returns, from router t. TTL 0 dies
+    /// at the first router like TTL 1 (no router decrements it), and
+    /// crosses only the router-free path.
     #[test]
-    fn ttl_semantics_exact(n in 0usize..20, ttl in 1u8..25) {
+    fn ttl_semantics_exact(n in 0usize..20, ttl in 0u8..25) {
         let mut net = Network::new(Duration::from_millis(1));
         let a = net.add_host(A);
         let b = net.add_host(B);
@@ -35,7 +37,8 @@ proptest! {
         net.run_until_idle();
         let delivered = net.take_inbox(b);
         let returned = net.take_inbox(a);
-        if usize::from(ttl) > n {
+        let dies_at = usize::from(ttl.max(1));
+        if dies_at > n {
             prop_assert_eq!(delivered.len(), 1);
             prop_assert_eq!(returned.len(), 0);
             let view = Ipv4Packet::new_checked(&delivered[0].1[..]).unwrap();
@@ -44,7 +47,7 @@ proptest! {
             prop_assert_eq!(delivered.len(), 0);
             prop_assert_eq!(returned.len(), 1);
             let view = Ipv4Packet::new_checked(&returned[0].1[..]).unwrap();
-            prop_assert_eq!(view.src_addr(), route_hops[usize::from(ttl) - 1]);
+            prop_assert_eq!(view.src_addr(), route_hops[dies_at - 1]);
         }
     }
 

@@ -21,7 +21,7 @@ use tspu_core::chaos::{audit_for_profile, restart_times};
 use tspu_core::{CensorProfile, FailureProfile, PolicyHandle, TspuDevice};
 use tspu_ispdpi::IspResolver;
 use tspu_netsim::fault::{ChaosLink, FaultPlan};
-use tspu_netsim::oracle::OracleSpec;
+use tspu_netsim::oracle::{Oracle, OracleSpec};
 use tspu_netsim::{Direction, MiddleboxId, Network, Route, RouteStep};
 use tspu_netsim::{HostId, MiddleboxHandle};
 use tspu_obs::Snapshot;
@@ -519,6 +519,31 @@ impl VantageLab {
         spec
     }
 
+    /// Drains the capture log and replays it through `oracle`, returning
+    /// the rendered violations — empty for a clean capture, which costs
+    /// only the replay. A report with violations first gets each offending
+    /// device's moved counters (the lab is fresh per cell, so its totals
+    /// are the cell's deltas) and its flight-recorder ledger for the
+    /// offending flow, so the rendering names the packet, the counters and
+    /// the enforcement history behind it. Every campaign audits its cells
+    /// through this one call.
+    pub fn audit(&mut self, oracle: &Oracle) -> Vec<String> {
+        let captures = self.net.take_captures();
+        let mut report = oracle.check(&captures);
+        if report.is_clean() {
+            return Vec::new();
+        }
+        let device_snapshots = self.device_snapshots();
+        report.attach_device_counters(|id| {
+            device_snapshots
+                .iter()
+                .find(|(device, _)| *device == id)
+                .map(|(_, snapshot)| snapshot.moved_counters())
+        });
+        report.attach_device_ledger(|id, packet| self.device_ledger(id, packet, 8));
+        report.violations.iter().map(ToString::to_string).collect()
+    }
+
     /// The vantage by ISP name.
     pub fn vantage(&self, name: &str) -> &Vantage {
         self.vantages.iter().find(|v| v.name == name).expect("known vantage")
@@ -723,6 +748,15 @@ impl LabImage {
     /// The shared policy handle this image's forks enforce.
     pub fn policy(&self) -> &PolicyHandle {
         &self.policy
+    }
+
+    /// The oracle audit specification of every fork of this image, as
+    /// forked: it reads only the devices' policy and censor profile and
+    /// the restart schedules of the image's fault plan, which are the same
+    /// in every fork. Campaigns whose cells keep that configuration build
+    /// one [`Oracle`] per image from it instead of one per cell.
+    pub fn oracle_spec(&self) -> OracleSpec {
+        self.fork(0).oracle_spec()
     }
 }
 
