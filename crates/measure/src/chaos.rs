@@ -104,17 +104,11 @@ impl ChaosSweep {
     /// Runs the grid on the pool. Cells come back in scenario-major,
     /// seed-minor order — byte-identical at every thread count, because
     /// each cell is a pure function of (scenario, seed) and the pool
-    /// reassembles results by index. Ask for the wall-clock
-    /// [`crate::sweep::PoolReport`] with [`RunOpts::report`].
-    pub fn run(&self, pool: &ScanPool) -> Vec<ChaosCell> {
-        self.run_opts(pool, &RunOpts::quick()).results
-    }
-
-    /// [`ChaosSweep::run`] with explicit [`RunOpts`] — `report` yields the
-    /// per-worker utilization and cell-latency histogram for campaign
-    /// dashboards; `observe` is interpreted by the cells themselves (the
-    /// oracle audit), so the flag is ignored here.
-    pub fn run_opts(&self, pool: &ScanPool, opts: &RunOpts) -> PoolRun<ChaosCell> {
+    /// reassembles results by index. [`RunOpts::report`] adds the
+    /// per-worker utilization and cell-latency histogram;
+    /// [`RunOpts::observe`] merges every cell's lab metrics (devices,
+    /// chaos links, engine) and sampled spans into the run's snapshot.
+    pub fn run(&self, pool: &ScanPool, opts: &RunOpts) -> PoolRun<ChaosCell> {
         let cells: Vec<(ChaosScenario, u64)> = self
             .scenarios
             .iter()
@@ -125,32 +119,25 @@ impl ChaosSweep {
         // function of (scenario, seed) — the fork is byte-identical to the
         // fresh build the old per-cell path did.
         let image = VantageLab::builder().policy(self.policy.clone()).table1().image();
-        pool.run(&cells, opts, || (), |(), index, &(scenario, seed)| {
-            self.run_one(&image, index, scenario, seed)
+        pool.run_labs(&cells, opts, |_| &image, |lab, _, &(scenario, seed)| {
+            self.run_one(lab, scenario, seed)
         })
     }
 
-    /// Runs one cell: forked lab, fault plan, reliability measurement,
-    /// oracle audit.
-    fn run_one(
-        &self,
-        image: &tspu_topology::LabImage,
-        index: usize,
-        scenario: ChaosScenario,
-        seed: u64,
-    ) -> ChaosCell {
+    /// Runs one cell on its forked lab: fault plan, reliability
+    /// measurement, oracle audit.
+    fn run_one(&self, lab: &mut VantageLab, scenario: ChaosScenario, seed: u64) -> ChaosCell {
         let plan = FaultPlan {
             seed,
             forward: self.forward.clone(),
             reverse: self.reverse.clone(),
             device: self.device.clone(),
         };
-        let mut lab = image.fork(index);
         lab.apply_fault_plan(&plan);
         if self.check_oracle {
             lab.net.set_capture(true);
         }
-        let stats = run_cell(&mut lab, scenario.vantage, scenario.mechanism, self.trials);
+        let stats = run_cell(lab, scenario.vantage, scenario.mechanism, self.trials);
         let oracle_violations = if self.check_oracle {
             // A per-cell spec: the cell's fault plan sets the devices'
             // restart schedules the oracle replays.
@@ -188,8 +175,8 @@ mod tests {
         let policy = policy_from_universe(&universe, false, true);
         let sweep = ChaosSweep::table1_grid(policy, vec![1], 4);
         let one = ChaosSweep { scenarios: vec![sweep.scenarios[0]], ..sweep };
-        let a = one.run(&ScanPool::single_thread());
-        let b = one.run(&ScanPool::single_thread());
+        let a = one.run(&ScanPool::single_thread(), &RunOpts::quick()).results;
+        let b = one.run(&ScanPool::single_thread(), &RunOpts::quick()).results;
         assert_eq!(a, b);
         assert_eq!(a.len(), 1);
         assert!(a[0].oracle_violations.is_empty(), "{:?}", a[0].oracle_violations);

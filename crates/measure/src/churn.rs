@@ -94,18 +94,13 @@ impl ChurnCampaign {
         }
     }
 
-    /// Derives the schedule from `universe` and runs every cell on the
-    /// pool.
+    /// Derives the schedule from `universe` and runs one cell per batch
+    /// that adds at least one domain (toggle-only and pure-delisting
+    /// batches carry no blocking-convergence signal). Cells come back in
+    /// schedule order — byte-identical at every thread count, because
+    /// each cell is a pure function of its batch index.
     pub fn run(&self, universe: &Universe, pool: &ScanPool) -> ChurnReport {
         let schedule = ChurnSchedule::from_universe(universe, &self.churn);
-        self.run_schedule(&schedule, pool)
-    }
-
-    /// Runs one cell per batch that adds at least one domain (toggle-only
-    /// and pure-delisting batches carry no blocking-convergence signal).
-    /// Cells come back in schedule order — byte-identical at every thread
-    /// count, because each cell is a pure function of its batch index.
-    pub fn run_schedule(&self, schedule: &ChurnSchedule, pool: &ScanPool) -> ChurnReport {
         let cells: Vec<usize> = schedule
             .batches()
             .iter()
@@ -119,8 +114,8 @@ impl ChurnCampaign {
         // byte-identical to the fresh per-cell build it replaces.
         let image =
             VantageLab::builder().policy(PolicyHandle::new(Policy::permissive())).image();
-        let run = pool.run(&cells, &RunOpts::quick(), || (), |(), index, &pos| {
-            self.run_cell(&image, index, schedule, pos)
+        let run = pool.run_labs(&cells, &RunOpts::quick(), |_| &image, |lab, _, &pos| {
+            self.run_cell(lab, &schedule, pos)
         });
         let mut convergence = Histogram::new();
         let mut snapshot = Snapshot::new();
@@ -167,12 +162,12 @@ impl ChurnCampaign {
         }
     }
 
-    /// One cell: replay day `pos` of the schedule and time its delta's
-    /// convergence.
+    /// One cell on its forked lab: replay day `pos` of the schedule and
+    /// time its delta's convergence. The day's policy instruments ride
+    /// along in every build, whatever the run's [`RunOpts`].
     fn run_cell(
         &self,
-        image: &tspu_topology::LabImage,
-        index: usize,
+        lab: &mut VantageLab,
         schedule: &ChurnSchedule,
         pos: usize,
     ) -> (DeltaConvergence, Snapshot) {
@@ -186,7 +181,6 @@ impl ChurnCampaign {
             policy.apply_delta(&churn_delta(prior));
         }
         let handle = PolicyHandle::new(policy);
-        let mut lab = image.fork(index);
         lab.set_policy(handle.clone());
         lab.net.set_app(lab.us_main, Box::new(ServerApp::https_site(lab.us_main_addr)));
 

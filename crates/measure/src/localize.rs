@@ -21,7 +21,7 @@ use tspu_wire::tls::ClientHelloBuilder;
 
 use crate::harness::{run_script, ProbeSide, ScriptEnd, ScriptStep};
 use crate::sweep::{PoolReport, RunOpts, ScanPool};
-use crate::tomography::{run_tomography, TomographyConfig, TomographyRun};
+use crate::tomography::{self, TomographyConfig, TomographyRun};
 
 /// Result of the TTL sweep: the device lies between `hop` and `hop + 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,8 +141,8 @@ pub enum LocalizeTechnique {
 #[derive(Clone)]
 pub struct LocalizeSpec {
     pub policy: PolicyHandle,
-    /// The lab the TTL techniques probe. [`LocalizeTechnique::Tomography`]
-    /// carries its own generated topology and ignores this field.
+    /// The lab every technique probes. [`LocalizeSpec::tomography`] sets
+    /// it to the config's generated topology.
     pub topology: TopologySpec,
     /// Probing client: ISP name on Fig. 1, client index string (`"0"`…)
     /// on generated labs. Unused by tomography (it probes every client).
@@ -211,55 +211,42 @@ impl LocalizeSpec {
         self
     }
 
-    /// The single localization entry point. TTL techniques shard
-    /// scenario-per-TTL across the pool (trial `ttl` on port
+    /// The single localization entry point. One warm image of
+    /// [`LocalizeSpec::topology`] serves every technique: TTL techniques
+    /// shard scenario-per-TTL across the pool (trial `ttl` on port
     /// `port_base + ttl`, a pure function of the scenario); tomography
     /// shards cell-per-scenario. Deterministic at every thread count.
     pub fn run(&self, pool: &ScanPool, opts: &RunOpts) -> LocalizeRun {
-        let symmetric = match &self.technique {
-            LocalizeTechnique::SymmetricTtl => true,
-            LocalizeTechnique::UpstreamTtl => false,
-            LocalizeTechnique::Tomography(config) => {
-                let (tomography, snapshot, report) =
-                    run_tomography(config, &self.policy, pool, opts);
-                return LocalizeRun {
-                    devices: Vec::new(),
-                    tomography: Some(tomography),
-                    snapshot,
-                    report,
-                };
-            }
-        };
         let image = VantageLab::builder()
             .policy(self.policy.clone())
             .topology(self.topology.clone())
             .image();
-        let ttls: Vec<u8> = (1..=self.max_ttl).collect();
-        let observe = opts.observe;
-        let run = pool.run(&ttls, opts, || (), |(), index, &ttl| {
-            let mut lab = image.fork(index);
-            let port = self.port_base + u16::from(ttl);
-            let blocked = if symmetric {
-                symmetric_trial(&mut lab, &self.vantage, port, ttl)
-            } else {
-                upstream_trial(&mut lab, &self.vantage, port, ttl)
-            };
-            (blocked, observe.then(|| lab.take_obs().with_scenario(index as u32)))
-        });
-        let mut blocked = Vec::with_capacity(run.results.len());
-        let mut snapshot = observe.then(Snapshot::new);
-        for (b, snap) in run.results {
-            blocked.push(b);
-            if let (Some(total), Some(snap)) = (snapshot.as_mut(), snap.as_ref()) {
-                total.merge(snap);
+        let trial = match &self.technique {
+            LocalizeTechnique::SymmetricTtl => symmetric_trial,
+            LocalizeTechnique::UpstreamTtl => upstream_trial,
+            LocalizeTechnique::Tomography(config) => {
+                let indices: Vec<usize> = (0..config.cells).collect();
+                let mut run = pool.run_labs(&indices, opts, |_| &image, |lab, _, &cell| {
+                    tomography::run_cell(lab, config, cell)
+                });
+                let tomography = tomography::summarize(config, run.results, run.snapshot.as_mut());
+                return LocalizeRun {
+                    devices: Vec::new(),
+                    tomography: Some(tomography),
+                    snapshot: run.snapshot,
+                    report: run.report,
+                };
             }
-        }
-        let devices = if symmetric {
-            first_onset(&blocked).into_iter().collect()
-        } else {
-            all_onsets(&blocked)
         };
-        LocalizeRun { devices, tomography: None, snapshot, report: run.report }
+        let ttls: Vec<u8> = (1..=self.max_ttl).collect();
+        let run = pool.run_labs(&ttls, opts, |_| &image, |lab, _, &ttl| {
+            trial(lab, &self.vantage, self.port_base + u16::from(ttl), ttl)
+        });
+        let devices = match self.technique {
+            LocalizeTechnique::SymmetricTtl => first_onset(&run.results).into_iter().collect(),
+            _ => all_onsets(&run.results),
+        };
+        LocalizeRun { devices, tomography: None, snapshot: run.snapshot, report: run.report }
     }
 }
 

@@ -223,23 +223,12 @@ impl DifferentialCampaign {
         let cells: Vec<(usize, usize)> = (0..self.profiles.len())
             .flat_map(|pi| (0..self.domains.len()).map(move |di| (pi, di)))
             .collect();
-        let observe = opts.observe;
-        let run = pool.run(&cells, opts, || (), |(), index, &(pi, di)| {
-            self.run_one(&images[pi], oracles[pi].as_ref(), index, pi, di, observe)
+        let run = pool.run_labs(&cells, opts, |&(pi, _)| &images[pi], |lab, index, &(pi, di)| {
+            self.run_one(lab, oracles[pi].as_ref(), index, pi, di)
         });
-        let mut matrix_cells = Vec::with_capacity(run.results.len());
-        let mut snapshot = observe.then(Snapshot::new);
-        // Index-ordered merge: the pool reassembles results by index, so
-        // the merged snapshot is as deterministic as the cells.
-        for (cell, cell_snapshot) in run.results {
-            matrix_cells.push(cell);
-            if let (Some(snap), Some(cell_snap)) = (snapshot.as_mut(), cell_snapshot) {
-                snap.merge(&cell_snap);
-            }
-        }
         let profiles: Vec<&'static str> = self.profiles.iter().map(|p| p.name).collect();
         let mut series = TimeSeries::with_window_us(1);
-        for cell in &matrix_cells {
+        for cell in &run.results {
             let pi = profiles.iter().position(|p| *p == cell.profile).expect("known profile");
             let mut snap = Snapshot::new();
             snap.insert("diff.cells", MetricValue::Counter(1));
@@ -270,48 +259,44 @@ impl DifferentialCampaign {
             series.observe(pi as u64, &snap);
         }
         let matrix = ProfileMatrix {
-            cells: matrix_cells,
+            cells: run.results,
             profiles,
             domains: self.domains.clone(),
-            snapshot,
+            snapshot: run.snapshot,
             series,
         };
         (matrix, run.report)
     }
 
-    /// Runs one cell: forked per-profile lab, three volleys, and — given
-    /// the profile's oracle — the audit of the cell's capture.
+    /// Runs one cell on its forked per-profile lab: three volleys and —
+    /// given the profile's oracle — the audit of the cell's capture.
     fn run_one(
         &self,
-        image: &LabImage,
+        lab: &mut VantageLab,
         oracle: Option<&Oracle>,
         index: usize,
         pi: usize,
         di: usize,
-        observe: bool,
-    ) -> (ProfileCell, Option<Snapshot>) {
+    ) -> ProfileCell {
         let profile = &self.profiles[pi];
         let domain = &self.domains[di];
-        let mut lab = image.fork(index);
         lab.net.set_capture(oracle.is_some());
         let port = scenario_port(index);
         let page_len = profile.block_page_bytes().map(<[u8]>::len);
 
-        let tls = probe_tls(&mut lab, port, domain);
-        let http = probe_http(&mut lab, port, domain, page_len);
-        let dns = probe_dns(&mut lab, port, domain);
+        let tls = probe_tls(lab, port, domain);
+        let http = probe_http(lab, port, domain, page_len);
+        let dns = probe_dns(lab, port, domain);
 
         let oracle_violations = oracle.map_or_else(Vec::new, |oracle| lab.audit(oracle));
-        let snapshot = observe.then(|| lab.obs_snapshot().with_scenario(index as u32));
-        let cell = ProfileCell {
+        ProfileCell {
             profile: profile.name,
             domain: domain.clone(),
             tls,
             http,
             dns,
             oracle_violations,
-        };
-        (cell, snapshot)
+        }
     }
 }
 

@@ -14,12 +14,13 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use tspu_core::PolicyHandle;
 use tspu_obs::{Histogram, MetricValue, Snapshot};
 use tspu_registry::Universe;
-use tspu_topology::{policy_from_universe, TopologySpec, VantageLab};
+use tspu_topology::{policy_from_universe, LabImage, TopologySpec, VantageLab};
 
 use crate::domains::{test_domain, DomainCampaign, DomainVerdict};
 
@@ -28,18 +29,18 @@ use crate::domains::{test_domain, DomainCampaign, DomainVerdict};
 /// that the shared cursor is touched rarely.
 const MAX_CHUNK: usize = 256;
 
-/// How a pool or sweep run executes — the one config struct behind
-/// [`ScanPool::run`] and [`SweepSpec::run`], replacing the old
-/// `run`/`run_with`/`run_reported`/`run_reported_with` and
-/// `run`/`run_observed`/`run_observed_sampled` variant families.
+/// How a pool or campaign run executes — the one config struct behind
+/// [`ScanPool::run`], [`ScanPool::run_labs`] and every campaign driver on
+/// top of it.
 ///
 /// Every knob is orthogonal and none affects result values: observation
 /// and reporting ride on the side of the same deterministic execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunOpts {
-    /// Capture each scenario's metrics and spans and merge them into one
-    /// campaign [`Snapshot`] (sweep-level runs only; pool-level `run`
-    /// leaves interpretation to the closure).
+    /// Capture each cell's metrics and spans and merge them into one
+    /// campaign [`Snapshot`]. Every campaign driver honours it through
+    /// [`ScanPool::run_labs`]; plain [`ScanPool::run`] has no lab to
+    /// observe and leaves interpretation to the closure.
     pub observe: bool,
     /// Span-sampling period when observing: scenario indices divisible by
     /// `trace_every` record spans, the rest record metrics only; `0`
@@ -78,14 +79,18 @@ impl RunOpts {
     }
 }
 
-/// What [`ScanPool::run`] returns: reassembled results, plus the
-/// wall-clock report when [`RunOpts::report`] asked for one.
+/// What [`ScanPool::run`] and [`ScanPool::run_labs`] return: reassembled
+/// results, the wall-clock report when [`RunOpts::report`] asked for one,
+/// and the merged campaign snapshot when [`RunOpts::observe`] asked for
+/// one (`run_labs` only).
 #[derive(Debug, Clone)]
 pub struct PoolRun<R> {
     /// One result per item, in item order at every thread count.
     pub results: Vec<R>,
     /// `Some` iff the run's [`RunOpts::report`] was set.
     pub report: Option<PoolReport>,
+    /// `Some` iff [`ScanPool::run_labs`] ran with [`RunOpts::observe`].
+    pub snapshot: Option<Snapshot>,
 }
 
 /// A pool of scan workers. Cheap to construct — threads are spawned per
@@ -147,11 +152,52 @@ impl ScanPool {
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
         let (results, report) = self.run_inner(items, init, f);
-        PoolRun { results, report: opts.report.then_some(report) }
+        PoolRun { results, report: opts.report.then_some(report), snapshot: None }
+    }
+
+    /// The fork-per-cell campaign runner every driver shares: item
+    /// `index` runs `cell` on a private lab forked from `image_of(item)`,
+    /// and results come back in item order like [`ScanPool::run`]'s.
+    ///
+    /// With [`RunOpts::observe`], cells whose index is divisible by
+    /// [`RunOpts::trace_every`] record spans, and every cell's metrics
+    /// and spans are taken, stamped with the cell index and merged in
+    /// index order into [`PoolRun::snapshot`] — byte-identical at every
+    /// thread count. Quick runs take no snapshot at all.
+    pub fn run_labs<'i, T, R, I, F>(
+        &self,
+        items: &[T],
+        opts: &RunOpts,
+        image_of: I,
+        cell: F,
+    ) -> PoolRun<R>
+    where
+        T: Sync,
+        R: Send,
+        I: Fn(&T) -> &'i LabImage + Sync,
+        F: Fn(&mut VantageLab, usize, &T) -> R + Sync,
+    {
+        let (observe, trace_every) = (opts.observe, opts.trace_every);
+        let merge = IndexOrderedMerge::default();
+        let run = self.run(items, opts, || (), |(), index, item| {
+            let mut lab = image_of(item).fork(index);
+            if !observe {
+                return cell(&mut lab, index, item);
+            }
+            if trace_every != 0 && index % trace_every == 0 {
+                lab.set_tracing(true);
+            }
+            let result = cell(&mut lab, index, item);
+            merge.push(index, lab.take_obs().with_scenario(index as u32));
+            result
+        });
+        let snapshot = merge.into_snapshot();
+        PoolRun { snapshot: observe.then_some(snapshot), ..run }
     }
 
     /// The scheduler: guided self-scheduling over a shared cursor, per-
-    /// worker timing on the side.
+    /// worker timing on the side. One worker runs on the calling thread;
+    /// more are spawned, each running the same worker body.
     fn run_inner<T, R, S, Init, F>(&self, items: &[T], init: Init, f: F) -> (Vec<R>, PoolReport)
     where
         T: Sync,
@@ -160,83 +206,55 @@ impl ScanPool {
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
         let sweep_start = Instant::now();
-        if self.threads == 1 || items.len() <= 1 {
+        let total = items.len();
+        let workers = self.threads.min(total).max(1);
+        let cursor = AtomicUsize::new(0);
+        let worker_body = || {
+            let born = Instant::now();
             let mut state = init();
+            let mut out: Vec<(usize, R)> = Vec::new();
             let mut worker = WorkerReport::default();
             let mut latencies = Histogram::new();
-            let results = items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
+            loop {
+                // Guided self-scheduling: claim a quarter of an even share
+                // of what's left, so early chunks are big and the tail
+                // rebalances.
+                let claim_started = Instant::now();
+                let seen = cursor.load(Ordering::Relaxed);
+                if seen >= total {
+                    break;
+                }
+                let chunk = ((total - seen) / (workers * 4)).clamp(1, MAX_CHUNK);
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                worker.claim_ns += claim_started.elapsed().as_nanos() as u64;
+                if start >= total {
+                    break;
+                }
+                worker.chunks += 1;
+                let end = (start + chunk).min(total);
+                for (index, item) in items.iter().enumerate().take(end).skip(start) {
                     let started = Instant::now();
-                    let result = f(&mut state, i, item);
+                    out.push((index, f(&mut state, index, item)));
                     let elapsed = started.elapsed().as_nanos() as u64;
                     worker.busy_ns += elapsed;
                     worker.items += 1;
                     latencies.record(elapsed);
-                    result
-                })
-                .collect();
-            worker.chunks = usize::from(!items.is_empty());
-            worker.alive_ns = sweep_start.elapsed().as_nanos() as u64;
-            let report = PoolReport {
-                wall_ns: worker.alive_ns,
-                workers: vec![worker],
-                scenario_wall_ns: latencies,
-            };
-            return (results, report);
-        }
-        let workers = self.threads.min(items.len());
-        let total = items.len();
-        let cursor = AtomicUsize::new(0);
-        type Shard<R> = (Vec<(usize, R)>, WorkerReport, Histogram);
-        let mut shards: Vec<Shard<R>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let born = Instant::now();
-                        let mut state = init();
-                        let mut out: Vec<(usize, R)> = Vec::new();
-                        let mut worker = WorkerReport::default();
-                        let mut latencies = Histogram::new();
-                        loop {
-                            // Guided self-scheduling: claim a quarter of
-                            // an even share of what's left, so early
-                            // chunks are big and the tail rebalances.
-                            let claim_started = Instant::now();
-                            let seen = cursor.load(Ordering::Relaxed);
-                            if seen >= total {
-                                break;
-                            }
-                            let chunk = ((total - seen) / (workers * 4)).clamp(1, MAX_CHUNK);
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            worker.claim_ns += claim_started.elapsed().as_nanos() as u64;
-                            if start >= total {
-                                break;
-                            }
-                            worker.chunks += 1;
-                            let end = (start + chunk).min(total);
-                            for (index, item) in
-                                items.iter().enumerate().take(end).skip(start)
-                            {
-                                let started = Instant::now();
-                                out.push((index, f(&mut state, index, item)));
-                                let elapsed = started.elapsed().as_nanos() as u64;
-                                worker.busy_ns += elapsed;
-                                worker.items += 1;
-                                latencies.record(elapsed);
-                            }
-                        }
-                        worker.alive_ns = born.elapsed().as_nanos() as u64;
-                        (out, worker, latencies)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                shards.push(handle.join().expect("sweep worker panicked"));
+                }
             }
-        });
+            worker.alive_ns = born.elapsed().as_nanos() as u64;
+            (out, worker, latencies)
+        };
+        let shards = if workers == 1 {
+            vec![worker_body()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker_body)).collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("sweep worker panicked"))
+                    .collect()
+            })
+        };
         let mut indexed: Vec<(usize, R)> = Vec::with_capacity(total);
         let mut worker_reports = Vec::with_capacity(workers);
         let mut latencies = Histogram::new();
@@ -252,6 +270,65 @@ impl ScanPool {
             scenario_wall_ns: latencies,
         };
         (indexed.into_iter().map(|(_, result)| result).collect(), report)
+    }
+}
+
+/// [`ScanPool::run_labs`]'s snapshot merge. Cells finish out of order;
+/// each snapshot waits in the queue until every lower index has merged,
+/// so the merge runs in index order at every thread count and only the
+/// out-of-order window stays in memory. One worker at a time merges,
+/// outside the queue lock, so the others never wait behind a backlog
+/// being merged.
+#[derive(Default)]
+struct IndexOrderedMerge {
+    queue: Mutex<MergeQueue>,
+    merged: Mutex<Snapshot>,
+}
+
+#[derive(Default)]
+struct MergeQueue {
+    /// The lowest index not merged yet.
+    next: usize,
+    pending: BTreeMap<usize, Snapshot>,
+    /// Whether a worker is merging right now.
+    merging: bool,
+}
+
+const POISONED: &str = "a cell panicked while merging";
+
+impl IndexOrderedMerge {
+    /// Queues cell `index`'s snapshot, then merges every snapshot that is
+    /// next in index order, unless another worker is already merging.
+    fn push(&self, index: usize, snapshot: Snapshot) {
+        let mut queue = self.queue.lock().expect(POISONED);
+        queue.pending.insert(index, snapshot);
+        if queue.merging {
+            return;
+        }
+        queue.merging = true;
+        loop {
+            let mut ready = Vec::new();
+            let q = &mut *queue;
+            while let Some(snapshot) = q.pending.remove(&q.next) {
+                ready.push(snapshot);
+                q.next += 1;
+            }
+            if ready.is_empty() {
+                queue.merging = false;
+                return;
+            }
+            drop(queue);
+            let mut merged = self.merged.lock().expect(POISONED);
+            for snapshot in &ready {
+                merged.merge(snapshot);
+            }
+            drop(merged);
+            queue = self.queue.lock().expect(POISONED);
+        }
+    }
+
+    fn into_snapshot(self) -> Snapshot {
+        self.merged.into_inner().expect(POISONED)
     }
 }
 
@@ -393,10 +470,9 @@ impl SweepSpec {
     /// loop of the sequential campaign is unnecessary here: one attempt
     /// per scenario, on a port derived purely from the scenario index.
     ///
-    /// With [`RunOpts::observe`], tracing is enabled on every sampled
-    /// scenario lab, each scenario's metrics and spans are captured,
-    /// stamped with the scenario index, and merged into one campaign
-    /// [`Snapshot`] alongside a `sweep.scenario_us` histogram of
+    /// With [`RunOpts::observe`], the runner ([`ScanPool::run_labs`])
+    /// merges every scenario's metrics and sampled spans into one campaign
+    /// [`Snapshot`], and the sweep adds a `sweep.scenario_us` histogram of
     /// *virtual* scenario durations. The snapshot is a pure function of
     /// the spec — byte-identical at every thread count — while the
     /// wall-clock side lands in the separate [`PoolReport`]
@@ -406,33 +482,27 @@ impl SweepSpec {
             .policy(self.policy.clone())
             .topology(self.topology.clone())
             .image();
+        let probe = |lab: &mut VantageLab, index: usize, domain: &String| {
+            test_domain(lab, domain, scenario_port(index))
+        };
         if !opts.observe {
-            let run = pool.run(&self.domains, opts, || (), |(), index, domain| {
-                let mut lab = image.fork(index);
-                test_domain(&mut lab, domain, scenario_port(index))
-            });
+            // Quick runs carry one verdict per scenario and nothing else.
+            let run = pool.run_labs(&self.domains, opts, |_| &image, probe);
             return SweepRun { verdicts: run.results, snapshot: None, report: run.report };
         }
-        let trace_every = opts.trace_every;
-        let run = pool.run(&self.domains, opts, || (), |(), index, domain| {
-            let mut lab = image.fork(index);
-            lab.set_tracing(trace_every != 0 && index % trace_every == 0);
-            let verdict = test_domain(&mut lab, domain, scenario_port(index));
-            let virtual_us = lab.net.now().as_micros();
-            let snapshot = lab.take_obs().with_scenario(index as u32);
-            (verdict, virtual_us, snapshot)
+        let run = pool.run_labs(&self.domains, opts, |_| &image, |lab, index, domain| {
+            (probe(lab, index, domain), lab.net.now().as_micros())
         });
-        let mut verdicts = Vec::with_capacity(run.results.len());
-        let mut snapshot = Snapshot::new();
+        let mut snapshot = run.snapshot.expect("observed run");
         let mut scenario_us = Histogram::new();
-        // Reassembled scenario order: merging here (not in the workers)
-        // keeps the merge order index-driven, though merge itself is
-        // order-insensitive anyway.
-        for (verdict, virtual_us, scenario_snapshot) in run.results {
-            verdicts.push(verdict);
-            scenario_us.record(virtual_us);
-            snapshot.merge(&scenario_snapshot);
-        }
+        let verdicts: Vec<DomainVerdict> = run
+            .results
+            .into_iter()
+            .map(|(verdict, virtual_us)| {
+                scenario_us.record(virtual_us);
+                verdict
+            })
+            .collect();
         if tspu_obs::ENABLED {
             snapshot.insert("sweep.scenarios", MetricValue::Counter(verdicts.len() as u64));
             snapshot.insert("sweep.scenario_us", MetricValue::Hist(scenario_us));
@@ -525,6 +595,29 @@ mod tests {
         let run = ScanPool::new(4).run(&items, &RunOpts::reported(), || (), |(), _, &x| x);
         assert_eq!(run.results, items);
         assert_eq!(run.report.expect("report requested").total_items(), items.len());
+    }
+
+    #[test]
+    fn index_ordered_merge_ignores_arrival_order() {
+        // `GaugeLast` keeps the later operand, so only an index-ordered
+        // merge ends on cell 5's value.
+        let cell = |i: usize| {
+            let mut snapshot = Snapshot::new();
+            snapshot.insert("cells", MetricValue::Counter(1));
+            snapshot.insert("last_cell", MetricValue::GaugeLast(i as i64));
+            snapshot
+        };
+        let mut expected = Snapshot::new();
+        for i in 0..6 {
+            expected.merge(&cell(i));
+        }
+        let merge = IndexOrderedMerge::default();
+        for i in [3, 1, 0, 5, 2, 4] {
+            merge.push(i, cell(i));
+        }
+        let merged = merge.into_snapshot();
+        assert_eq!(merged.gauge("last_cell"), Some(5));
+        assert_eq!(merged.to_json(), expected.to_json());
     }
 
     #[test]

@@ -28,13 +28,12 @@ use std::time::Duration;
 
 use tspu_core::{Policy, PolicyHandle};
 use tspu_obs::{MetricValue, Snapshot, TimeSeries};
-use tspu_topology::{GenClient, GenParams, TopologySpec, VantageLab};
+use tspu_topology::{GenClient, GenParams, VantageLab};
 use tspu_wire::tcp::TcpFlags;
 use tspu_wire::tls::ClientHelloBuilder;
 
 use crate::harness::{handshake_prefix, run_script, ProbeSide, ScriptEnd, ScriptStep};
 use crate::localize::first_onset;
-use crate::sweep::{PoolReport, RunOpts, ScanPool};
 
 /// Configuration of one tomography campaign: the generated topology to
 /// probe and how many localization cells to run. Each cell activates a
@@ -160,7 +159,7 @@ fn trial(
 
 /// Runs one localization cell on a freshly forked lab. Pure in
 /// `(image, config, cell)` — the determinism unit the pool shards.
-fn run_cell(lab: &mut VantageLab, config: &TomographyConfig, cell: usize) -> TomographyCell {
+pub(crate) fn run_cell(lab: &mut VantageLab, config: &TomographyConfig, cell: usize) -> TomographyCell {
     let gen = lab.gen.clone().expect("tomography runs on generated labs");
     let candidates = gen.censor_candidates();
     let active = (!candidates.is_empty()).then(|| candidates[cell % candidates.len()]);
@@ -252,56 +251,30 @@ fn run_cell(lab: &mut VantageLab, config: &TomographyConfig, cell: usize) -> Tom
     TomographyCell { cell, active_as: active.map(|di| gen.devices[di].as_id), suspects, named, probes, ttl_hop, ttl_truth }
 }
 
-/// Runs the campaign: one cell per index, sharded across the pool, cells
-/// reassembled in index order. Returns the run plus the merged campaign
-/// snapshot (`Some` iff [`RunOpts::observe`]; includes the engine's
-/// `netsim.route_flips` from every cell) and the wall-clock report
-/// (`Some` iff [`RunOpts::report`]).
-pub(crate) fn run_tomography(
+/// The campaign summary over the cells, in cell order: the epoch-windowed
+/// probe series, plus — when the run was observed — the
+/// `tomography.cells` and `tomography.named` counters on its snapshot.
+pub(crate) fn summarize(
     config: &TomographyConfig,
-    policy: &PolicyHandle,
-    pool: &ScanPool,
-    opts: &RunOpts,
-) -> (TomographyRun, Option<Snapshot>, Option<PoolReport>) {
-    let image = VantageLab::builder()
-        .policy(policy.clone())
-        .topology(TopologySpec::Generated(config.params.clone()))
-        .image();
-    let indices: Vec<usize> = (0..config.cells).collect();
-    let observe = opts.observe;
-    let run = pool.run(&indices, opts, || (), |(), _, &cell| {
-        let mut lab = image.fork(cell);
-        let outcome = run_cell(&mut lab, config, cell);
-        let snap = observe.then(|| lab.take_obs().with_scenario(cell as u32));
-        (outcome, snap)
-    });
-
+    cells: Vec<TomographyCell>,
+    snapshot: Option<&mut Snapshot>,
+) -> TomographyRun {
     // Epoch-windowed probe series, built in cell order from the replayed
     // observations — deterministic because the observations are.
     let window_us = (config.params.churn_period.as_micros() as u64).max(1);
     let mut series = TimeSeries::with_window_us(window_us);
-    let mut snapshot = observe.then(Snapshot::new);
-    let mut cells = Vec::with_capacity(run.results.len());
-    for (outcome, snap) in run.results {
-        for p in &outcome.probes {
-            let mut obs = Snapshot::new();
-            obs.insert("tomography.probes", MetricValue::Counter(1));
-            if p.blocked {
-                obs.insert("tomography.blocked", MetricValue::Counter(1));
-            }
-            series.observe(p.epoch as u64 * window_us, &obs);
+    for p in cells.iter().flat_map(|c| &c.probes) {
+        let mut obs = Snapshot::new();
+        obs.insert("tomography.probes", MetricValue::Counter(1));
+        if p.blocked {
+            obs.insert("tomography.blocked", MetricValue::Counter(1));
         }
-        if let (Some(total), Some(snap)) = (snapshot.as_mut(), snap.as_ref()) {
-            total.merge(snap);
-        }
-        cells.push(outcome);
+        series.observe(p.epoch as u64 * window_us, &obs);
     }
-    if tspu_obs::ENABLED {
-        if let Some(total) = snapshot.as_mut() {
-            total.insert("tomography.cells", MetricValue::Counter(cells.len() as u64));
-            let named = cells.iter().filter(|c| c.named).count() as u64;
-            total.insert("tomography.named", MetricValue::Counter(named));
-        }
+    if let Some(total) = snapshot.filter(|_| tspu_obs::ENABLED) {
+        total.insert("tomography.cells", MetricValue::Counter(cells.len() as u64));
+        let named = cells.iter().filter(|c| c.named).count() as u64;
+        total.insert("tomography.named", MetricValue::Counter(named));
     }
-    (TomographyRun { cells, series }, snapshot, run.report)
+    TomographyRun { cells, series }
 }

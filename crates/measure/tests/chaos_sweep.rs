@@ -1,8 +1,7 @@
-//! Integration tests for the chaos sweep:
+//! Integration tests for the chaos sweep (the oracle-clean, thread-count
+//! independent ≥100-cell Table-1 grid is pinned in
+//! `campaign_determinism.rs`):
 //!
-//! * the full ≥100-cell Table-1 grid under loss + bounded reorder is
-//!   byte-identical at 1 and 8 threads, with the oracle passing every
-//!   capture;
 //! * a deliberately seeded model violation (fresh TTL on injected RSTs)
 //!   makes the oracle report the offending packet and trace;
 //! * the Table-1 reliability *shape* survives chaos: the single-device
@@ -12,37 +11,11 @@
 use tspu_core::ModelViolation;
 use tspu_measure::chaos::{ChaosScenario, ChaosSweep};
 use tspu_measure::reliability::{run_cell, Mechanism};
-use tspu_measure::sweep::ScanPool;
+use tspu_measure::sweep::{RunOpts, ScanPool};
 use tspu_netsim::fault::LinkFaults;
 use tspu_netsim::oracle::{Oracle, Violation};
 use tspu_registry::Universe;
 use tspu_topology::{policy_from_universe, VantageLab};
-
-#[test]
-fn table1_grid_is_byte_identical_across_thread_counts() {
-    let universe = Universe::generate(3);
-    let policy = policy_from_universe(&universe, false, true);
-    let sweep = ChaosSweep::table1_grid(policy, vec![11, 22, 33, 44, 55, 66, 77], 4);
-    assert!(sweep.len() >= 100, "grid too small: {}", sweep.len());
-
-    let one = sweep.run(&ScanPool::single_thread());
-    let eight = sweep.run(&ScanPool::new(8));
-    assert_eq!(one, eight, "sweep output differs across thread counts");
-    assert_eq!(one.len(), sweep.len());
-
-    for cell in &one {
-        assert!(
-            cell.oracle_violations.is_empty(),
-            "{} {:?} seed {}: {:?}",
-            cell.vantage,
-            cell.mechanism,
-            cell.seed,
-            cell.oracle_violations
-        );
-    }
-    // The plan is not a no-op: chaos actually interfered somewhere.
-    assert!(one.iter().any(|c| c.chaos_dropped > 0), "no chaos link ever dropped a packet");
-}
 
 #[test]
 fn oracle_reports_seeded_wrong_ttl_on_injected_rst() {
@@ -100,7 +73,7 @@ fn reliability_shape_survives_chaos() {
         check_oracle: false,
         policy,
     };
-    let cells = sweep.run(&ScanPool::from_env());
+    let cells = sweep.run(&ScanPool::from_env(), &RunOpts::quick()).results;
 
     for &seed in &sweep.seeds {
         let failures = |vantage: &str| {

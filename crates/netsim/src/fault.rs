@@ -561,7 +561,10 @@ mod tests {
             delivered += link.process_owned(Time::ZERO, Direction::LocalToRemote, packet.clone()).len();
         }
         assert!((7_300..=7_700).contains(&delivered), "delivered {delivered}");
-        assert_eq!(link.dropped() + link.forwarded(), 10_000);
+        // The link's counters live in its obs registry: zero when obs is off.
+        if tspu_obs::ENABLED {
+            assert_eq!(link.dropped() + link.forwarded(), 10_000);
+        }
     }
 
     #[test]
@@ -616,19 +619,25 @@ mod tests {
             let out = link.process_owned(Time::from_micros(i as u64), Direction::LocalToRemote, pkt.clone());
             assert_eq!(out, vec![pkt]);
         }
-        assert_eq!(link.stats().forwarded, 1000);
-        assert_eq!(link.stats().total_dropped(), 0);
+        if tspu_obs::ENABLED {
+            assert_eq!(link.stats().forwarded, 1000);
+            assert_eq!(link.stats().total_dropped(), 0);
+        }
     }
 
     #[test]
     fn chaos_loss_counts_in_stats() {
         let mut link = ChaosLink::new(LinkFaults::lossy(0.5), 11);
+        let mut delivered = 0;
         for _ in 0..1000 {
-            link.process_owned(Time::ZERO, Direction::LocalToRemote, vec![0; 16]);
+            delivered += link.process_owned(Time::ZERO, Direction::LocalToRemote, vec![0; 16]).len();
         }
-        let stats = link.stats();
-        assert_eq!(stats.forwarded + stats.dropped, 1000);
-        assert!((300..=700).contains(&(stats.dropped as usize)), "dropped {}", stats.dropped);
+        assert!((300..=700).contains(&(1000 - delivered)), "delivered {delivered}");
+        if tspu_obs::ENABLED {
+            let stats = link.stats();
+            assert_eq!(stats.forwarded + stats.dropped, 1000);
+            assert_eq!(stats.forwarded, delivered as u64);
+        }
     }
 
     #[test]
@@ -638,9 +647,11 @@ mod tests {
         let out = link.process_owned(Time::ZERO, Direction::LocalToRemote, vec![7; 8]);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], out[1]);
-        assert_eq!(link.stats().duplicated, 1);
-        assert_eq!(link.stats().injected, 1);
-        assert_eq!(link.stats().forwarded, 2);
+        if tspu_obs::ENABLED {
+            assert_eq!(link.stats().duplicated, 1);
+            assert_eq!(link.stats().injected, 1);
+            assert_eq!(link.stats().forwarded, 2);
+        }
     }
 
     #[test]
@@ -656,7 +667,10 @@ mod tests {
                 out_order.push(pkt[0]);
             }
         }
-        assert!(link.stats().reordered > 0, "no packet was ever held");
+        assert!(out_order.windows(2).any(|w| w[0] > w[1]), "no packet was ever held");
+        if tspu_obs::ENABLED {
+            assert!(link.stats().reordered > 0, "no hold was counted");
+        }
         // Bounded displacement: a packet may move at most max_displacement
         // slots later, so values can only lag their sorted position.
         for (pos, &val) in out_order.iter().enumerate() {
@@ -687,8 +701,10 @@ mod tests {
             }
         }
         assert!(delayed > 0);
-        assert_eq!(link.stats().delayed, delayed);
-        assert_eq!(link.stats().forwarded, 100);
+        if tspu_obs::ENABLED {
+            assert_eq!(link.stats().delayed, delayed);
+            assert_eq!(link.stats().forwarded, 100);
+        }
     }
 
     #[test]
@@ -697,7 +713,9 @@ mod tests {
         let mut link = ChaosLink::new(faults, 23);
         assert_eq!(link.process_owned(Time::ZERO, Direction::LocalToRemote, vec![0; 99]).len(), 1);
         assert_eq!(link.process_owned(Time::ZERO, Direction::LocalToRemote, vec![0; 101]).len(), 0);
-        assert_eq!(link.stats().clamped, 1);
+        if tspu_obs::ENABLED {
+            assert_eq!(link.stats().clamped, 1);
+        }
     }
 
     #[test]
@@ -711,7 +729,9 @@ mod tests {
         assert_eq!(link.process_owned(Time::from_micros(500_000), Direction::LocalToRemote, vec![1]).len(), 1);
         assert_eq!(link.process_owned(Time::from_micros(1_500_000), Direction::LocalToRemote, vec![2]).len(), 0);
         assert_eq!(link.process_owned(Time::from_micros(2_500_000), Direction::LocalToRemote, vec![3]).len(), 1);
-        assert_eq!(link.stats().flapped, 1);
+        if tspu_obs::ENABLED {
+            assert_eq!(link.stats().flapped, 1);
+        }
     }
 
     #[test]
